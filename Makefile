@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test race racecheck bench golden chaos-smoke serve-smoke serve-live-smoke mvcc-smoke mvcc-race wal-smoke qdsweep-smoke drift-smoke benchjson
+.PHONY: check fmt build vet test race racecheck bench experiments-check golden chaos-smoke serve-smoke serve-live-smoke mvcc-smoke mvcc-race wal-smoke qdsweep-smoke drift-smoke benchjson
 
-## check: the full gate — build, vet, race-enabled tests, and the
-## single-owner assertion build.
-check: build vet race racecheck
+## check: the full gate — formatting, build, vet, race-enabled tests, and
+## the single-owner assertion build.
+check: fmt build vet race racecheck
+
+## fmt: fail when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -21,16 +25,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-## racecheck: build with the storage single-owner assertions compiled in and
-## run the ownership tests against them.
+## racecheck: build with the storage single-owner and pinned-frame
+## assertions compiled in, and run the storage tests and the packages that
+## hold buffer-pool frames against them.
 racecheck:
 	$(GO) build -tags racecheck ./...
-	$(GO) test -tags racecheck ./internal/storage/
+	$(GO) test -tags racecheck ./internal/storage/ ./internal/btree ./internal/lsm ./internal/wal ./internal/hashindex
 
 ## bench: the hot-path comparison quoted in PR descriptions
-## (nil-hook must stay allocation-free and within noise of untraced).
+## (nil-hook must stay allocation-free and within noise of untraced), and
+## the buffer pool's hit and miss paths (both allocation-free).
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
+	$(GO) test ./internal/storage -bench BenchmarkPoolFetch -benchtime=2s -run '^$$'
+
+## experiments-check: the behaviour contract — `rumbench -exp all` stdout
+## must match the committed experiments_output.txt byte for byte.
+experiments-check:
+	$(GO) run ./cmd/rumbench -exp all >/tmp/experiments-output.txt
+	diff experiments_output.txt /tmp/experiments-output.txt
 
 ## golden: regenerate golden files (exporters, CLI usage) after an
 ## intended format change.

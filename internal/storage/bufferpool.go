@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -41,24 +40,33 @@ func (s PoolStats) HitRatio() float64 {
 }
 
 // Frame is a pinned page held in the buffer pool. Callers must Release every
-// frame they Fetch or create; the data slice is only valid while pinned.
+// frame they Fetch or create; the data slice is only valid while pinned,
+// because an eviction hands an unpinned frame and its buffer to the next
+// page the pool installs. Builds with -tags racecheck panic on Data or
+// MarkDirty of an unpinned frame.
 type Frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
-	pins  int
-	elem  *list.Element
+	id         PageID
+	data       []byte
+	dirty      bool
+	pins       int
+	prev, next *Frame // intrusive LRU links (see BufferPool.lru)
 }
 
 // ID returns the page this frame caches.
 func (f *Frame) ID() PageID { return f.id }
 
 // Data returns the frame's page buffer. Mutating it requires MarkDirty.
-func (f *Frame) Data() []byte { return f.data }
+func (f *Frame) Data() []byte {
+	assertPinned(f)
+	return f.data
+}
 
 // MarkDirty records that the frame's contents diverge from the device and
 // must be written back on eviction or flush.
-func (f *Frame) MarkDirty() { f.dirty = true }
+func (f *Frame) MarkDirty() {
+	assertPinned(f)
+	f.dirty = true
+}
 
 // BufferPool caches device pages with LRU replacement. It models the MEM
 // parameter of Table 1: a structure whose working set fits in the pool pays
@@ -73,11 +81,16 @@ type BufferPool struct {
 	dev      *Device
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // front = most recently used; holds *Frame
+	lru      Frame // sentinel of the LRU ring: next = most recently used
 	stats    PoolStats
 	hook     Hook
 	retries  int // extra attempts per device op after a transient fault
 	ioBatch  int // pages per batch submission (1 = per-page I/O)
+	// Scratch reused by every batched write-back, so a dirty eviction on
+	// multi-queue media allocates nothing.
+	group []*Frame
+	ids   []PageID
+	data  [][]byte
 }
 
 // NewBufferPool creates a pool of capacity pages over dev. Capacity must be
@@ -92,13 +105,27 @@ func NewBufferPool(dev *Device, capacity int) *BufferPool {
 	if ioBatch < 1 {
 		ioBatch = 1
 	}
-	return &BufferPool{
+	p := &BufferPool{
 		dev:      dev,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame, capacity),
-		lru:      list.New(),
 		ioBatch:  ioBatch,
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// pushFront links f into the LRU ring as the most recently used frame.
+func (p *BufferPool) pushFront(f *Frame) {
+	f.prev, f.next = &p.lru, p.lru.next
+	p.lru.next.prev = f
+	p.lru.next = f
+}
+
+// unlink removes f from the LRU ring.
+func (p *BufferPool) unlink(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // Device returns the underlying device.
@@ -172,7 +199,7 @@ func (p *BufferPool) DirtyCount() int {
 func (p *BufferPool) Crash() {
 	p.owner.assert("BufferPool")
 	p.frames = make(map[PageID]*Frame, p.capacity)
-	p.lru.Init()
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
 }
 
 // Stats returns a copy of the pool counters.
@@ -187,7 +214,8 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	if f, ok := p.frames[id]; ok {
 		p.stats.Hits++
 		f.pins++
-		p.lru.MoveToFront(f.elem)
+		p.unlink(f)
+		p.pushFront(f)
 		if p.hook != nil {
 			p.hook.StorageEvent(EvHit, id, p.dev.Class(id), 0)
 		}
@@ -253,20 +281,42 @@ func (p *BufferPool) NewPage(c rum.Class) (*Frame, error) {
 	p.owner.assert("BufferPool")
 	id := p.dev.Alloc(c)
 	f := p.install(id)
+	clear(f.data) // a reused victim buffer still holds its old page
 	f.dirty = true
 	return f, nil
 }
 
 // install makes room if needed and registers a new pinned frame for id.
+// When every frame is pinned the pool overflows its capacity.
 func (p *BufferPool) install(id PageID) *Frame {
-	if len(p.frames) >= p.capacity {
-		if !p.evictOne() {
-			p.stats.Overflows++
-		}
+	f := p.reclaim()
+	if f == nil {
+		p.stats.Overflows++
+		f = &Frame{data: make([]byte, p.dev.PageSize())}
 	}
-	f := &Frame{id: id, data: make([]byte, p.dev.PageSize()), pins: 1}
-	f.elem = p.lru.PushFront(f)
+	f.id, f.dirty, f.pins = id, false, 1
+	p.pushFront(f)
 	p.frames[id] = f
+	return f
+}
+
+// reclaim returns an unlinked frame for an incoming page, or nil when every
+// frame is pinned. It evicts until the pool is below capacity — so a pool
+// that overflowed during an all-pinned burst shrinks back once pins are
+// released — and hands over the last victim's frame and buffer; a new
+// frame is allocated only while the pool is below capacity.
+func (p *BufferPool) reclaim() *Frame {
+	var f *Frame
+	for len(p.frames) >= p.capacity {
+		victim := p.evictOne()
+		if victim == nil {
+			break
+		}
+		f = victim
+	}
+	if f == nil && len(p.frames) < p.capacity {
+		f = &Frame{data: make([]byte, p.dev.PageSize())}
+	}
 	return f
 }
 
@@ -274,27 +324,26 @@ func (p *BufferPool) install(id PageID) *Frame {
 // dirty. Frames whose write-back fails (an injected device fault) are kept
 // cached and dirty rather than dropped — losing an acknowledged write to an
 // eviction would be silent corruption — so the search moves on to the next
-// victim. It reports whether a victim was found. Under a batch width above
-// 1 a dirty victim's write-back is amortized (see flushVictim); victim
-// choice (strict LRU order among unpinned frames) is unchanged.
-func (p *BufferPool) evictOne() bool {
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*Frame)
+// victim. It returns the victim, or nil if none was found. Under a batch
+// width above 1 a dirty victim's write-back is amortized (see flushVictim);
+// victim choice (strict LRU order among unpinned frames) is unchanged.
+func (p *BufferPool) evictOne() *Frame {
+	for f := p.lru.prev; f != &p.lru; f = f.prev {
 		if f.pins > 0 {
 			continue
 		}
 		if f.dirty && !p.flushVictim(f) {
 			continue
 		}
-		p.lru.Remove(e)
+		p.unlink(f)
 		delete(p.frames, f.id)
 		p.stats.Evictions++
 		if p.hook != nil {
 			p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
 		}
-		return true
+		return f
 	}
-	return false
+	return nil
 }
 
 // flushFrame writes a dirty frame back to the device, reporting success.
@@ -341,12 +390,14 @@ func (p *BufferPool) flushGroup(group []*Frame) {
 		p.flushFrame(group[0])
 		return
 	}
-	ids := make([]PageID, len(group))
-	data := make([][]byte, len(group))
-	for i, f := range group {
-		ids[i], data[i] = f.id, f.data
+	ids, data := p.ids[:0], p.data[:0]
+	for _, f := range group {
+		ids, data = append(ids, f.id), append(data, f.data)
 	}
-	if err := p.dev.WriteBatch(ids, data); err != nil {
+	err := p.dev.WriteBatch(ids, data)
+	clear(data) // drop references to the frame buffers
+	p.ids, p.data = ids, data
+	if err != nil {
 		for _, f := range group {
 			p.flushFrame(f)
 		}
@@ -375,9 +426,8 @@ func (p *BufferPool) flushVictim(victim *Frame) bool {
 	if !p.batchIO() {
 		return p.flushFrame(victim)
 	}
-	group := []*Frame{victim}
-	for e := p.lru.Back(); e != nil && len(group) < p.ioBatch; e = e.Prev() {
-		f := e.Value.(*Frame)
+	group := append(p.group[:0], victim)
+	for f := p.lru.prev; f != &p.lru && len(group) < p.ioBatch; f = f.prev {
 		if f == victim || f.pins > 0 || !f.dirty {
 			continue
 		}
@@ -388,7 +438,15 @@ func (p *BufferPool) flushVictim(victim *Frame) bool {
 		group = append(group, f)
 	}
 	p.flushGroup(group)
+	p.releaseGroup(group)
 	return !victim.dirty
+}
+
+// releaseGroup keeps a write-back group's backing array as scratch for the
+// next one, without keeping its frames reachable.
+func (p *BufferPool) releaseGroup(group []*Frame) {
+	clear(group)
+	p.group = group[:0]
 }
 
 // Release unpins a frame previously returned by Fetch or NewPage.
@@ -408,7 +466,7 @@ func (p *BufferPool) FreePage(id PageID) error {
 		if f.pins > 0 {
 			return fmt.Errorf("storage: freeing pinned page %d", id)
 		}
-		p.lru.Remove(f.elem)
+		p.unlink(f)
 		delete(p.frames, id)
 	}
 	return p.dev.Free(id)
@@ -425,16 +483,15 @@ func (p *BufferPool) FreePage(id PageID) error {
 func (p *BufferPool) FlushAll() {
 	p.owner.assert("BufferPool")
 	if !p.batchIO() {
-		for e := p.lru.Back(); e != nil; e = e.Prev() {
-			if f := e.Value.(*Frame); f.dirty {
+		for f := p.lru.prev; f != &p.lru; f = f.prev {
+			if f.dirty {
 				p.flushFrame(f)
 			}
 		}
 		return
 	}
-	var group []*Frame
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*Frame)
+	group := p.group[:0]
+	for f := p.lru.prev; f != &p.lru; f = f.prev {
 		if !f.dirty {
 			continue
 		}
@@ -451,6 +508,7 @@ func (p *BufferPool) FlushAll() {
 	if len(group) > 0 {
 		p.flushGroup(group)
 	}
+	p.releaseGroup(group)
 }
 
 // Readahead batch-reads the given pages into the pool ahead of demand,
@@ -500,12 +558,13 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			if _, ok := p.frames[id]; ok {
 				continue // duplicate id within the request
 			}
-			if len(p.frames) >= p.capacity && !p.evictOne() {
+			f := p.reclaim()
+			if f == nil {
 				return installed // everything pinned: never overflow for a prefetch
 			}
-			f := &Frame{id: id, data: make([]byte, p.dev.PageSize())}
+			f.id, f.dirty = id, false
 			copy(f.data, pages[i])
-			f.elem = p.lru.PushFront(f)
+			p.pushFront(f)
 			p.frames[id] = f
 			p.stats.Misses++
 			if p.hook != nil {
@@ -522,14 +581,13 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 func (p *BufferPool) DropAll() {
 	p.owner.assert("BufferPool")
 	p.FlushAll()
-	var next *list.Element
-	for e := p.lru.Front(); e != nil; e = next {
-		next = e.Next()
-		f := e.Value.(*Frame)
+	var next *Frame
+	for f := p.lru.next; f != &p.lru; f = next {
+		next = f.next
 		if f.pins > 0 || f.dirty {
 			continue
 		}
-		p.lru.Remove(e)
+		p.unlink(f)
 		delete(p.frames, f.id)
 	}
 }

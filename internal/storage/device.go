@@ -556,10 +556,10 @@ func (d *Device) Clone(meter *rum.Meter) *Device {
 		meter:    meter,
 		model:    d.model,
 		stats:    d.stats,
-		pages:     make([][]byte, len(d.pages)),
-		class:     append([]rum.Class(nil), d.class...),
-		live:      append([]bool(nil), d.live...),
-		freeList:  append([]PageID(nil), d.freeList...),
+		pages:    make([][]byte, len(d.pages)),
+		class:    append([]rum.Class(nil), d.class...),
+		live:     append([]bool(nil), d.live...),
+		freeList: append([]PageID(nil), d.freeList...),
 	}
 	for i, pg := range d.pages {
 		nd.pages[i] = append([]byte(nil), pg...)

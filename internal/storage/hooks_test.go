@@ -232,6 +232,9 @@ func TestPoolStatsOverflowsAllPinned(t *testing.T) {
 	if p.Stats().Evictions == 0 {
 		t.Fatal("expected an eviction once pins were released")
 	}
+	if p.Len() > 2 {
+		t.Fatalf("pool stayed over capacity after pins were released: %d frames", p.Len())
+	}
 }
 
 // TestHitRatioUntouchedPool asserts the untouched-pool convention directly

@@ -38,3 +38,30 @@ func TestOwnercheckSameGoroutine(t *testing.T) {
 	p.FlushAll()
 	p.DropAll()
 }
+
+// TestPincheckStaleFrame verifies the racecheck build turns use of a frame
+// after Release — whose buffer the next eviction hands to another page —
+// into a panic instead of a silent read of the wrong page.
+func TestPincheckStaleFrame(t *testing.T) {
+	p := NewBufferPool(NewDevice(64, RAM, nil), 2)
+	f, err := p.NewPage(rum.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data()[0] = 1
+	f.MarkDirty()
+	p.Release(f)
+	for name, use := range map[string]func(){
+		"Data":      func() { f.Data() },
+		"MarkDirty": func() { f.MarkDirty() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a released frame did not panic under -tags racecheck", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
