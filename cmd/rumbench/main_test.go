@@ -68,29 +68,54 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestServeShardDeterminism extends the determinism contract to the serving
-// layer: the serve experiment's stdout must be byte-identical no matter how
-// the serving run is sharded, batched, or pooled — only the stderr timing
-// report may differ.
-func TestServeShardDeterminism(t *testing.T) {
-	runServe := func(shards, batch, parallel string) []byte {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		code := run([]string{
-			"-exp", "serve", "-quick", "-n", "2048", "-ops", "1000", "-seed", "42",
-			"-shards", shards, "-batch", batch, "-parallel", parallel,
-		}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("run(-shards %s) exited %d; stderr:\n%s", shards, code, stderr.String())
-		}
-		return stdout.Bytes()
+// TestExperimentDeterminism is the one determinism gate table: each row
+// runs an experiment in process under several argument sets and requires
+// byte-identical stdout — pool width, shard count, and batch size may move
+// only wall-clock time, which prints to stderr. It subsumes the former
+// per-experiment `make *-smoke` targets, with their exact arguments.
+func TestExperimentDeterminism(t *testing.T) {
+	quick := []string{"-quick", "-n", "2048", "-ops", "1000"}
+	with := func(base []string, extra ...string) []string {
+		return append(append([]string(nil), base...), extra...)
 	}
-	base := runServe("1", "32", "1")
-	if got := runServe("8", "64", "1"); !bytes.Equal(base, got) {
-		t.Errorf("serve stdout differs between -shards 1 and -shards 8:\n--- shards=1\n%s--- shards=8\n%s", base, got)
-	}
-	if got := runServe("3", "16", "8"); !bytes.Equal(base, got) {
-		t.Errorf("serve stdout differs under -parallel 8:\n--- base\n%s--- parallel\n%s", base, got)
+	chaos := with(quick, "-exp", "chaos", "-faults", "seed=7,p_read=0.02,p_write=0.02,p_torn=0.5,crash=120")
+	serveSeed42 := with(quick, "-exp", "serve", "-seed", "42")
+	for _, tc := range []struct {
+		name string
+		runs [][]string // every run's stdout must equal the first's
+	}{
+		{"chaos", [][]string{with(chaos, "-parallel", "1"), with(chaos, "-parallel", "8")}},
+		{"serve", [][]string{
+			with(quick, "-exp", "serve", "-shards", "1", "-batch", "32", "-parallel", "1"),
+			with(quick, "-exp", "serve", "-shards", "8", "-batch", "64", "-parallel", "8"),
+		}},
+		{"serve-seed42", [][]string{
+			with(serveSeed42, "-shards", "1", "-batch", "32", "-parallel", "1"),
+			with(serveSeed42, "-shards", "8", "-batch", "64", "-parallel", "1"),
+			with(serveSeed42, "-shards", "3", "-batch", "16", "-parallel", "8"),
+		}},
+		{"mvcc", [][]string{
+			with(quick, "-exp", "mvcc", "-shards", "1", "-batch", "32", "-parallel", "1"),
+			with(quick, "-exp", "mvcc", "-shards", "8", "-batch", "64", "-parallel", "8"),
+		}},
+		{"walsweep", [][]string{with(quick, "-exp", "walsweep", "-parallel", "1"), with(quick, "-exp", "walsweep", "-parallel", "8")}},
+		{"qdsweep", [][]string{with(quick, "-exp", "qdsweep", "-parallel", "1"), with(quick, "-exp", "qdsweep", "-parallel", "8")}},
+		{"drift", [][]string{{"-exp", "drift", "-parallel", "1"}, {"-exp", "drift", "-parallel", "8"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			for i, args := range tc.runs {
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("run(%v) exited %d; stderr:\n%s", args, code, stderr.String())
+				}
+				if i == 0 {
+					want = stdout.Bytes()
+				} else if !bytes.Equal(stdout.Bytes(), want) {
+					t.Errorf("stdout of %v differs from %v:\n--- want\n%s--- got\n%s", args, tc.runs[0], want, stdout.Bytes())
+				}
+			}
+		})
 	}
 }
 

@@ -839,7 +839,6 @@ func (d *daemon) stop() (bench.ServeResult, error) {
 	if err == nil {
 		err = flushErr
 	}
-	meter, size, n := serve.Aggregate(reports)
 	d.finalWorkload = serve.AggregateWorkload(reports)
 
 	latency := obs.NewLatencyHistogram()
@@ -850,34 +849,18 @@ func (d *daemon) stop() (bench.ServeResult, error) {
 	for _, g := range d.gens {
 		wantLen += g.Live()
 	}
-	row := bench.ServeRow{
-		Method:     d.cfg.method,
-		Clean:      rum.PointOf(meter, size),
-		Requests:   int(d.submitted.Load()),
-		Hits:       int(d.hits.Load()),
-		FinalLen:   wantLen,
-		Mismatches: int(d.mismatches.Load()),
+	row := bench.FoldServe(d.cfg.method, bench.LiveRun{
+		Reports:    reports,
+		Err:        err,
+		Latency:    latency,
 		Elapsed:    elapsed,
-		P50:        latency.QuantileDuration(0.50),
-		P99:        latency.QuantileDuration(0.99),
-		ServeMeter: meter,
-	}
-	if ph := serve.AggregatePhases(reports); ph != nil {
-		row.QueueP50 = ph.Queue.QuantileDuration(0.50)
-		row.QueueP99 = ph.Queue.QuantileDuration(0.99)
-		row.ServiceP50 = ph.Service.QuantileDuration(0.50)
-		row.ServiceP99 = ph.Service.QuantileDuration(0.99)
-	}
-	if err != nil {
-		row.ServeErr = err.Error()
-	}
-	row.Verified = row.Mismatches == 0 && row.ServeErr == "" && d.doErrs.Load() == 0 && n == wantLen
-	if s := elapsed.Seconds(); s > 0 {
-		row.Throughput = float64(row.Requests) / s
-	}
-	for _, r := range reports {
-		row.ShardOps = append(row.ShardOps, r.Ops)
-	}
+		Requests:   int(d.submitted.Load()),
+		Mismatches: int(d.mismatches.Load()),
+		WantLen:    wantLen,
+	})
+	row.Hits = int(d.hits.Load())
+	// A driver whose Do call failed outright stopped verifying its stream.
+	row.Verified = row.Verified && d.doErrs.Load() == 0
 	res := bench.ServeResult{
 		N:       d.preload,
 		Ops:     row.Requests,

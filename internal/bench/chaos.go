@@ -40,41 +40,29 @@ import (
 // faults during the degraded phase.
 const chaosRetryBudget = 3
 
-// chaosSubject is one method under chaos: how to build it, how (if at all)
-// to recover it, and the durability contract the crash trial holds it to.
-type chaosSubject struct {
-	name       string
-	build      func(pool *storage.BufferPool) (core.AccessMethod, error)
-	reopen     func(pool *storage.BufferPool) (core.AccessMethod, error)
-	durability faults.Durability
-}
-
 // chaosSubjects is the cast: the Table-1 methods that live on the simulated
-// device (the in-memory structures have no device to degrade). The LSM runs
-// with its manifest enabled so the crash trial can hold it to
-// DurableToFlush; the manifest's checkpoint writes are charged like any
-// other traffic, visible in the degraded UO column.
-func chaosSubjects() []chaosSubject {
+// device (the in-memory structures have no device to degrade), each with the
+// durability contract the crash trial holds it to. The LSM runs with its
+// manifest enabled so the crash trial can hold it to DurableToFlush; the
+// manifest's checkpoint writes are charged like any other traffic, visible
+// in the degraded UO column.
+func chaosSubjects() []subject {
 	lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Manifest: true}
-	return []chaosSubject{
-		{
-			name:       "btree",
-			build:      func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.New(p, btree.Config{}) },
-			reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.Recover(p, btree.Config{}) },
-			durability: faults.Lossy,
-		},
-		{
-			name:       "hash",
-			build:      func(p *storage.BufferPool) (core.AccessMethod, error) { return hashindex.New(p, hashindex.Config{}) },
-			reopen:     nil, // no persisted directory: declared fully lossy
-			durability: faults.Lossy,
-		},
-		{
-			name:       "lsm-level",
-			build:      func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, lsmCfg), nil },
-			reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.Recover(p, lsmCfg) },
-			durability: faults.DurableToFlush,
-		},
+	return []subject{
+		{name: "btree", Subject: faults.Subject{
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.New(p, btree.Config{}) },
+			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.Recover(p, btree.Config{}) },
+			Durability: faults.Lossy,
+		}},
+		{name: "hash", Subject: faults.Subject{
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return hashindex.New(p, hashindex.Config{}) },
+			Durability: faults.Lossy, // no persisted directory, no Reopen
+		}},
+		{name: "lsm-level", Subject: faults.Subject{
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, lsmCfg), nil },
+			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.Recover(p, lsmCfg) },
+			Durability: faults.DurableToFlush,
+		}},
 	}
 }
 
@@ -126,8 +114,8 @@ func RunChaos(cfg Config, plan faults.Plan) ChaosResult {
 	return res
 }
 
-func runChaosCell(cfg Config, sub chaosSubject, plan faults.Plan) ChaosRow {
-	row := ChaosRow{Method: sub.name, Durability: sub.durability}
+func runChaosCell(cfg Config, sub subject, plan faults.Plan) ChaosRow {
+	row := ChaosRow{Method: sub.name, Durability: sub.Durability}
 	salted := plan.Salted(sub.name)
 
 	row.Clean, _, _, _ = chaosProfile(cfg, sub, faults.Plan{}, 0, sub.name+"/clean")
@@ -140,11 +128,7 @@ func runChaosCell(cfg Config, sub chaosSubject, plan faults.Plan) ChaosRow {
 	row.Degraded, row.Faults, row.Pool, st = chaosProfile(cfg, sub, degraded, chaosRetryBudget, sub.name+"/degraded")
 	row.FailedOps = st.InsertFailures
 
-	row.Crash = faults.CheckCrash(faults.CheckConfig{Seed: salted.Seed, CrashAtWrite: plan.CrashAtWrite}, faults.Subject{
-		Open:       sub.build,
-		Reopen:     sub.reopen,
-		Durability: sub.durability,
-	})
+	row.Crash = faults.CheckCrash(faults.CheckConfig{Seed: salted.Seed, CrashAtWrite: plan.CrashAtWrite}, sub.Subject)
 	return row
 }
 
@@ -152,50 +136,28 @@ func runChaosCell(cfg Config, sub chaosSubject, plan faults.Plan) ChaosRow {
 // workload operations with the plan armed (inactive plan = clean baseline)
 // and returns the measured RUM point plus the fault and pool ledgers of the
 // degraded phase.
-func chaosProfile(cfg Config, sub chaosSubject, plan faults.Plan, retries int, label string) (rum.Point, faults.Stats, storage.PoolStats, core.OpStats) {
-	dev := storage.NewDevice(pageSize(cfg), cfg.Storage.Medium, nil)
-	pool := storage.NewBufferPool(dev, poolPages(cfg))
-	if cfg.Storage.Hook != nil {
-		dev.SetHook(cfg.Storage.Hook)
-		pool.SetHook(cfg.Storage.Hook)
-	}
-	m, err := sub.build(pool)
-	if err != nil {
-		panic(fmt.Sprintf("chaos: build %s: %v", sub.name, err))
-	}
-	am := core.Instrument(m)
-	cfg.observe(am, label)
-
-	gen := workload.New(workload.Config{
-		Seed:       cfg.Seed,
-		Mix:        workload.Balanced,
-		InitialLen: cfg.N,
-	})
-	if err := core.Preload(am, gen); err != nil {
-		panic(fmt.Sprintf("chaos: preload %s: %v", sub.name, err))
-	}
-	am.Flush()
-
+func chaosProfile(cfg Config, sub subject, plan faults.Plan, retries int, label string) (rum.Point, faults.Stats, storage.PoolStats, core.OpStats) {
+	s := prepare(cfg, sub, workload.Balanced, label)
 	var injector *faults.Injector
 	if plan.Active() {
 		injector = faults.New(plan)
-		dev.SetInjector(injector)
-		pool.SetRetryBudget(retries)
+		s.pool.Device().SetInjector(injector)
+		s.pool.SetRetryBudget(retries)
 	}
-	poolBefore := pool.Stats()
-	start := am.Meter().Snapshot()
+	poolBefore := s.pool.Stats()
+	start := s.am.Meter().Snapshot()
 	var st core.OpStats
 	for i := 0; i < cfg.Ops; i++ {
-		core.Apply(am, gen.Next(), &st)
+		core.Apply(s.am, s.gen.Next(), &st)
 	}
-	am.Flush()
-	point := rum.PointOf(am.Meter().Diff(start), am.Size())
+	s.am.Flush()
+	point := rum.PointOf(s.am.Meter().Diff(start), s.am.Size())
 
 	var fstats faults.Stats
 	if injector != nil {
 		fstats = injector.Stats()
 	}
-	pstats := pool.Stats()
+	pstats := s.pool.Stats()
 	pstats.Retries -= poolBefore.Retries
 	pstats.RetryFailures -= poolBefore.RetryFailures
 	pstats.FlushFailures -= poolBefore.FlushFailures

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cobtree"
 	"repro/internal/core"
 	"repro/internal/lsm"
+	"repro/internal/methods"
 	"repro/internal/pbt"
 	"repro/internal/storage"
 	"repro/internal/zonemap"
@@ -97,15 +98,14 @@ func RunExtensions(cfg Config) ExtensionsResult {
 	// Each differential run owns a private device + pool, independent of the
 	// cell Config's storage stack.
 	insertRun := func(seed int64, build func(pool *storage.BufferPool) inserter) uint64 {
-		dev := storage.NewDevice(4096, storage.SSD, nil)
-		pool := storage.NewBufferPool(dev, 8)
+		pool := methods.NewPool(methods.Options{PageSize: 4096, PoolPages: 8, Medium: storage.SSD}, nil)
 		am := build(pool)
 		rng := rand.New(rand.NewSource(seed + 22))
 		for i := 0; i < inserts; i++ {
 			_ = am.Insert(rng.Uint64()>>24, 1)
 		}
 		am.Flush()
-		return dev.Stats().PageWrites
+		return pool.Device().Stats().PageWrites
 	}
 	btreeCell := func(cfg Config) {
 		res.BTreeWrites = insertRun(cfg.Seed, func(p *storage.BufferPool) inserter {

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/lsm"
 	"repro/internal/methods"
-	"repro/internal/obs"
 	"repro/internal/rum"
 	"repro/internal/serve"
 )
@@ -186,12 +184,13 @@ type MVCCRow struct {
 	Staleness int
 
 	// Deterministic (stdout).
-	Clean    rum.Point // sequential replay with the same publish cadence
-	Retained uint64    // version-retention bytes at end of replay (the MO tax)
-	Requests int
-	Reads    int
-	Verified bool // live outcomes matched predictions, reads used snapshots
-	ServeErr string
+	Clean      rum.Point // sequential replay with the same publish cadence
+	Retained   uint64    // version-retention bytes at end of replay (the MO tax)
+	Requests   int
+	Reads      int
+	Verified   bool // both live runs verified (FoldServe), reads used snapshots
+	Mismatches int  // outcome mismatches across both live runs
+	ServeErr   string
 
 	// Wall-clock (stderr).
 	BaseThroughput float64 // single-owner baseline, requests/s
@@ -295,20 +294,12 @@ func runMVCCClean(cfg Config, name string, k, versions int, streams []mvccStream
 	wantLive := len(stable)
 	for _, st := range streams {
 		wantLive += st.netLive
-		for i := range st.ops {
-			req, want := st.ops[i], st.want[i]
+		for i, req := range st.ops {
 			var got serve.Result
 			if req.Op == serve.OpGet {
 				got.Value, got.OK = snap.Get(req.Key, &readMeter)
 			} else {
-				switch req.Op {
-				case serve.OpInsert:
-					got.OK = am.Insert(req.Key, req.Value) == nil
-				case serve.OpUpdate:
-					got.OK = am.Update(req.Key, req.Value)
-				case serve.OpDelete:
-					got.OK = am.Delete(req.Key)
-				}
+				got = applyRequest(am, req)
 				if writesSince++; writesSince >= k {
 					snap.Release()
 					if err := am.Publish(); err != nil {
@@ -318,8 +309,8 @@ func runMVCCClean(cfg Config, name string, k, versions int, streams []mvccStream
 					writesSince = 0
 				}
 			}
-			if got != want {
-				panic(fmt.Sprintf("mvcc: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, want))
+			if got != st.want[i] {
+				panic(fmt.Sprintf("mvcc: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, st.want[i]))
 			}
 		}
 	}
@@ -335,29 +326,65 @@ func runMVCCClean(cfg Config, name string, k, versions int, streams []mvccStream
 }
 
 // runMVCCServing times the live phase twice over the identical streams:
-// single-owner baseline (Snapshots off), then the MVCC read path. Each
-// client separates its stream into pure-read and write batches — reads are
-// order-independent by construction, so this is outcome-preserving — and
-// the read batches are what the bypass accelerates.
+// single-owner baseline (Snapshots off), then the MVCC read path. Both runs
+// are folded and verified the same way, including the final record count.
 func runMVCCServing(cfg Config, mcfg MVCCConfig, name string, k int, streams []mvccStream, stable []core.Record, row *MVCCRow) {
 	sopt := cfg.Storage
 	sopt.Hook = nil
-	base, _, _, baseMism, baseErr := mvccServeOnce(sopt, mcfg, name, k, false, streams, stable)
-	snapTp, p99, snapReads, mism, serveErr := mvccServeOnce(sopt, mcfg, name, k, true, streams, stable)
-	row.BaseThroughput = base
-	row.SnapThroughput = snapTp
-	row.ReadP99 = p99
-	row.SnapReads = snapReads
-	row.Verified = mism == 0 && baseMism == 0 && serveErr == "" && baseErr == "" && snapReads > 0
-	if serveErr == "" {
-		serveErr = baseErr
+	clients := mvccBatches(streams, mcfg.Batch)
+	wantLen := len(stable)
+	for _, st := range streams {
+		wantLen += st.netLive
 	}
-	row.ServeErr = serveErr
+	base, _ := mvccServeOnce(sopt, mcfg, name, k, false, clients, stable, wantLen)
+	snap, snapReads := mvccServeOnce(sopt, mcfg, name, k, true, clients, stable, wantLen)
+	row.BaseThroughput = base.Throughput
+	row.SnapThroughput = snap.Throughput
+	row.ReadP99 = snap.P99
+	row.SnapReads = snapReads
+	row.Mismatches = base.Mismatches + snap.Mismatches
+	row.Verified = base.Verified && snap.Verified && snapReads > 0
+	row.ServeErr = snap.ServeErr
+	if row.ServeErr == "" {
+		row.ServeErr = base.ServeErr
+	}
 }
 
-// mvccServeOnce runs one live configuration and returns (requests/s, read
-// p99, snapshot-served reads, outcome mismatches, error).
-func mvccServeOnce(opt methods.Options, mcfg MVCCConfig, name string, k int, snapshots bool, streams []mvccStream, stable []core.Record) (float64, time.Duration, uint64, int, string) {
+// mvccBatches splits every client's stream into pure-read and write batches
+// of up to batch requests, in stream order, flushing the partial write batch
+// before the partial read batch at the end. Reads are order-independent by
+// construction, so the split is outcome-preserving. Only read batches are
+// timed: they are what the snapshot bypass accelerates.
+func mvccBatches(streams []mvccStream, batch int) [][]clientBatch {
+	clients := make([][]clientBatch, len(streams))
+	for c, st := range streams {
+		reads, writes := clientBatch{timed: true}, clientBatch{}
+		emit := func(b *clientBatch) {
+			if len(b.reqs) > 0 {
+				clients[c] = append(clients[c], *b)
+			}
+			*b = clientBatch{timed: b.timed}
+		}
+		for i, req := range st.ops {
+			b := &writes
+			if req.Op == serve.OpGet {
+				b = &reads
+			}
+			b.reqs = append(b.reqs, req)
+			b.want = append(b.want, st.want[i])
+			if len(b.reqs) == batch {
+				emit(b)
+			}
+		}
+		emit(&writes)
+		emit(&reads)
+	}
+	return clients
+}
+
+// mvccServeOnce runs one live configuration through the shared driver and
+// returns its folded row plus the reads served off snapshots.
+func mvccServeOnce(opt methods.Options, mcfg MVCCConfig, name string, k int, snapshots bool, clients [][]clientBatch, stable []core.Record, wantLen int) (ServeRow, uint64) {
 	srv, err := serve.New(serve.Config{
 		Shards:       mcfg.Shards,
 		MaxBatch:     mcfg.Batch,
@@ -365,95 +392,22 @@ func mvccServeOnce(opt methods.Options, mcfg MVCCConfig, name string, k int, sna
 		StalenessOps: k,
 		Build:        func(int) *core.Instrumented { return buildMVCC(opt, name, mcfg.Versions) },
 	})
+	if err == nil {
+		if err = srv.Preload(stable); err == nil {
+			err = srv.Flush()
+		}
+		if err != nil {
+			srv.Stop() // release the shards; the setup error is the one to report
+		}
+	}
 	if err != nil {
-		return 0, 0, 0, 0, err.Error()
+		return ServeRow{Method: name, ServeErr: err.Error()}, 0
 	}
-	if err := srv.Preload(stable); err != nil {
-		return 0, 0, 0, 0, err.Error()
-	}
-	if err := srv.Flush(); err != nil {
-		return 0, 0, 0, 0, err.Error()
-	}
-
-	type tally struct {
-		mismatches int
-		hist       *obs.Histogram
-	}
-	tallies := make([]tally, len(streams))
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			st := &streams[c]
-			ta := &tallies[c]
-			ta.hist = obs.NewLatencyHistogram()
-			res := make([]serve.Result, mcfg.Batch)
-			var readIdx, writeIdx []int
-			flush := func(idxs []int, read bool) {
-				if len(idxs) == 0 {
-					return
-				}
-				reqs := make([]serve.Request, len(idxs))
-				for j, i := range idxs {
-					reqs[j] = st.ops[i]
-				}
-				t0 := time.Now()
-				if err := srv.Do(reqs, res[:len(reqs)]); err != nil {
-					ta.mismatches += len(reqs)
-					return
-				}
-				if read {
-					ta.hist.RecordDuration(time.Since(t0))
-				}
-				for j, i := range idxs {
-					if res[j] != st.want[i] {
-						ta.mismatches++
-					}
-				}
-			}
-			for i := range st.ops {
-				if st.ops[i].Op == serve.OpGet {
-					readIdx = append(readIdx, i)
-					if len(readIdx) == mcfg.Batch {
-						flush(readIdx, true)
-						readIdx = readIdx[:0]
-					}
-				} else {
-					writeIdx = append(writeIdx, i)
-					if len(writeIdx) == mcfg.Batch {
-						flush(writeIdx, false)
-						writeIdx = writeIdx[:0]
-					}
-				}
-			}
-			flush(writeIdx, false)
-			flush(readIdx, true)
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
+	run := driveClients(srv, clients)
 	_, snapReads := srv.ReaderStats()
-	_, err = srv.Stop()
-	errStr := ""
-	if err != nil {
-		errStr = err.Error()
-	}
-	mismatches, requests := 0, 0
-	hist := obs.NewLatencyHistogram()
-	for i := range tallies {
-		mismatches += tallies[i].mismatches
-		hist.Merge(tallies[i].hist)
-	}
-	for _, st := range streams {
-		requests += len(st.ops)
-	}
-	tp := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		tp = float64(requests) / s
-	}
-	return tp, hist.QuantileDuration(0.99), snapReads, mismatches, errStr
+	run.Reports, run.Err = srv.Stop()
+	run.WantLen = wantLen
+	return FoldServe(name, run), snapReads
 }
 
 // Render prints the deterministic half of the experiment.
@@ -467,7 +421,7 @@ func (r MVCCResult) Render() string {
 	for _, row := range r.Rows {
 		verdict := "ok"
 		if !row.Verified {
-			verdict = fmt.Sprintf("FAIL(%d) %s", r.Ops, row.ServeErr)
+			verdict = fmt.Sprintf("FAIL(%d mismatches %s)", row.Mismatches, row.ServeErr)
 		}
 		rows = append(rows, []string{
 			row.Method,

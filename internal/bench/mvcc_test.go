@@ -76,6 +76,13 @@ func TestMVCCRenderDeterministic(t *testing.T) {
 	if strings.TrimSpace(a.RenderTiming()) == "" {
 		t.Error("RenderTiming is empty")
 	}
+	// A failing row reports its own mismatch count, never the request total.
+	failing := a
+	failing.Rows = append([]MVCCRow(nil), a.Rows...)
+	failing.Rows[0].Verified, failing.Rows[0].Mismatches, failing.Rows[0].ServeErr = false, 3, "boom"
+	if out := failing.Render(); !strings.Contains(out, "FAIL(3 mismatches boom)") {
+		t.Errorf("failing row renders wrong verdict:\n%s", out)
+	}
 }
 
 // Relaxing the publish cadence must never relax correctness: the streams

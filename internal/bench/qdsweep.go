@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/lsm"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -34,32 +35,18 @@ import (
 // MQSSD's channels in one wave; 32 needs four.
 var qdsweepBatches = []int{1, 4, 8, 32}
 
-// qdSubject is one structure under test: how to build it over a pool.
-type qdSubject struct {
-	name  string
-	build func(pool *storage.BufferPool) (core.AccessMethod, error)
-}
-
-func qdSubjects() []qdSubject {
-	return []qdSubject{
-		{
-			name: "btree",
-			build: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return btree.New(p, btree.Config{})
-			},
-		},
-		{
-			name: "lsm-level",
-			build: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return lsm.New(p, lsm.Config{MemtableRecords: 1024, SizeRatio: 10}), nil
-			},
-		},
-		{
-			name: "lsm-tier",
-			build: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return lsm.New(p, lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Tiering: true}), nil
-			},
-		},
+// qdSubjects is the cast: the page structures whose write-back and
+// streaming paths batch.
+func qdSubjects() []subject {
+	lsmOver := func(cfg lsm.Config) func(*storage.BufferPool) (core.AccessMethod, error) {
+		return func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, cfg), nil }
+	}
+	return []subject{
+		{name: "btree", Subject: faults.Subject{Open: func(p *storage.BufferPool) (core.AccessMethod, error) {
+			return btree.New(p, btree.Config{})
+		}}},
+		{name: "lsm-level", Subject: faults.Subject{Open: lsmOver(lsm.Config{MemtableRecords: 1024, SizeRatio: 10})}},
+		{name: "lsm-tier", Subject: faults.Subject{Open: lsmOver(lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Tiering: true})}},
 	}
 }
 
@@ -123,59 +110,24 @@ func RunQDSweep(cfg Config) QDSweepResult {
 	return QDSweepResult{Ops: cfg.Ops, Rows: rows}
 }
 
-func runQDCell(cfg Config, sub qdSubject, batch int) QDRow {
-	row := QDRow{Method: sub.name, Batch: batch}
-
-	dev := storage.NewDevice(pageSize(cfg), cfg.Storage.Medium, nil)
-	pool := storage.NewBufferPool(dev, poolPages(cfg))
-	pool.SetIOBatch(batch) // batch 1 disables the vectored paths entirely
-	if cfg.Storage.Hook != nil {
-		dev.SetHook(cfg.Storage.Hook)
-		pool.SetHook(cfg.Storage.Hook)
+func runQDCell(cfg Config, sub subject, batch int) QDRow {
+	label := fmt.Sprintf("%s/b=%d", sub.name, batch)
+	cfg.Storage.IOBatch = batch // batch 1 disables the vectored paths entirely
+	// Write-back traffic is what batching amortizes.
+	t := prepare(cfg, sub, workload.WriteHeavy, "qd/"+label).replay(cfg.Ops)
+	row := QDRow{
+		Method:       sub.name,
+		Batch:        batch,
+		OpsPerKCost:  t.opsPerKCost(cfg.Ops),
+		CostP50:      t.costP50,
+		CostP99:      t.costP99,
+		CostMax:      t.costMax,
+		PageReads:    t.after.PageReads - t.before.PageReads,
+		PageWrites:   t.after.PageWrites - t.before.PageWrites,
+		Batches:      t.after.Batches - t.before.Batches,
+		BatchedPages: t.after.BatchedPages - t.before.BatchedPages,
 	}
-	am, err := sub.build(pool)
-	if err != nil {
-		panic(fmt.Sprintf("qdsweep: build %s: %v", sub.name, err))
-	}
-	in := core.Instrument(am)
-	cfg.observe(in, fmt.Sprintf("qd/%s/b=%d", sub.name, batch))
-
-	gen := workload.New(workload.Config{
-		Seed:       cfg.Seed,
-		Mix:        workload.WriteHeavy, // write-back traffic is what batching amortizes
-		InitialLen: cfg.N,
-	})
-	if err := core.Preload(in, gen); err != nil {
-		panic(fmt.Sprintf("qdsweep: preload %s: %v", sub.name, err))
-	}
-	in.Flush()
-
-	before := dev.Stats()
-	costs := make([]uint64, cfg.Ops)
-	flushEvery := cfg.Ops / 8
-	prev := before.CostUnits
-	var st core.OpStats
-	for i := 0; i < cfg.Ops; i++ {
-		core.Apply(in, gen.Next(), &st)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			in.Flush() // periodic flush: its vectored burst lands in this op's cost
-		}
-		now := dev.Stats().CostUnits
-		costs[i] = now - prev
-		prev = now
-	}
-	after := dev.Stats()
-	if total := after.CostUnits - before.CostUnits; total > 0 {
-		row.OpsPerKCost = float64(cfg.Ops) * 1000 / float64(total)
-	}
-	cfg.Perf.Record("qdsweep", fmt.Sprintf("%s/b=%d", sub.name, batch), row.OpsPerKCost)
-	slices.Sort(costs)
-	quantile := func(q float64) uint64 { return costs[int(q*float64(len(costs)-1))] }
-	row.CostP50, row.CostP99, row.CostMax = quantile(0.50), quantile(0.99), costs[len(costs)-1]
-	row.PageReads = after.PageReads - before.PageReads
-	row.PageWrites = after.PageWrites - before.PageWrites
-	row.Batches = after.Batches - before.Batches
-	row.BatchedPages = after.BatchedPages - before.BatchedPages
+	cfg.Perf.Record("qdsweep", label, row.OpsPerKCost)
 	return row
 }
 

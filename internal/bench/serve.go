@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -135,7 +136,7 @@ type ServeRow struct {
 	Method string
 
 	// Deterministic (stdout).
-	Clean      rum.Point // single-instance replay of the same streams
+	Clean      rum.Point // single-instance replay of the same streams (FoldServe: the live run's own point)
 	Requests   int
 	Hits       int // expected == measured get hits
 	FinalLen   int
@@ -183,32 +184,55 @@ func RunServe(cfg Config, scfg ServeConfig) ServeResult {
 		res.Ops += len(st.ops)
 	}
 	rows := make([]ServeRow, len(serveMethods))
+	clean := make([]rum.Point, len(serveMethods))
+	hits := make([]int, len(serveMethods))
 	cells := make([]Cell, 0, 2*len(serveMethods))
 	for i, name := range serveMethods {
 		i, name := i, name
 		cells = append(cells, Cell{
 			Label: name + "/clean",
 			Run: func(ccfg Config) {
-				runServeClean(ccfg, name, streams, allInit, &rows[i])
+				clean[i], hits[i] = runServeClean(ccfg, name, streams, allInit)
 			},
 		})
 		cells = append(cells, Cell{
 			Label: name + "/serve",
 			Run: func(ccfg Config) {
-				runServeServing(ccfg, scfg, name, streams, allInit, &rows[i])
+				rows[i] = runServeServing(ccfg, scfg, name, streams, allInit)
 			},
 		})
 	}
 	cfg.runCells("serve", cells)
+	for i := range rows {
+		rows[i].Clean, rows[i].Hits = clean[i], hits[i]
+	}
 	res.Rows = rows
 	return res
 }
 
+// applyRequest executes one serving request directly against am — a
+// sequential replay's stand-in for the shard that would run it.
+func applyRequest(am *core.Instrumented, req serve.Request) serve.Result {
+	var got serve.Result
+	switch req.Op {
+	case serve.OpGet:
+		got.Value, got.OK = am.Get(req.Key)
+	case serve.OpInsert:
+		got.OK = am.Insert(req.Key, req.Value) == nil
+	case serve.OpUpdate:
+		got.OK = am.Update(req.Key, req.Value)
+	case serve.OpDelete:
+		got.OK = am.Delete(req.Key)
+	}
+	return got
+}
+
 // runServeClean replays every client's stream, in client order, against one
-// instance of the method — the canonical sequential execution. The measured
-// RUM point is the experiment's deterministic truth: it cannot depend on
-// shards, clients, batches, or scheduling because none of those exist here.
-func runServeClean(cfg Config, name string, streams []serveStream, allInit []core.Record, row *ServeRow) {
+// instance of the method — the canonical sequential execution — and returns
+// its RUM point and get hits. The measured point is the experiment's
+// deterministic truth: it cannot depend on shards, clients, batches, or
+// scheduling because none of those exist here.
+func runServeClean(cfg Config, name string, streams []serveStream, allInit []core.Record) (rum.Point, int) {
 	spec, err := methods.Lookup(cfg.Storage, name)
 	if err != nil {
 		panic(fmt.Sprintf("serve: %s: %v", name, err))
@@ -220,48 +244,31 @@ func runServeClean(cfg Config, name string, streams []serveStream, allInit []cor
 	}
 	am.Flush()
 	start := am.Meter().Snapshot()
-	requests, hits, finalLen := 0, 0, 0
+	hits, finalLen := 0, 0
 	for _, st := range streams {
-		for i := range st.ops {
-			req, want := st.ops[i], st.want[i]
-			var got serve.Result
-			switch req.Op {
-			case serve.OpGet:
-				got.Value, got.OK = am.Get(req.Key)
-			case serve.OpInsert:
-				got.OK = am.Insert(req.Key, req.Value) == nil
-			case serve.OpUpdate:
-				got.OK = am.Update(req.Key, req.Value)
-			case serve.OpDelete:
-				got.OK = am.Delete(req.Key)
-			}
-			if got != want {
-				panic(fmt.Sprintf("serve: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, want))
+		for i, req := range st.ops {
+			got := applyRequest(am, req)
+			if got != st.want[i] {
+				panic(fmt.Sprintf("serve: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, st.want[i]))
 			}
 			if req.Op == serve.OpGet && got.OK {
 				hits++
 			}
 		}
-		requests += len(st.ops)
 		finalLen += st.finalLen
 	}
 	am.Flush()
-	row.Method = name
-	row.Clean = rum.PointOf(am.Meter().Diff(start), am.Size())
-	row.Requests = requests
-	row.Hits = hits
-	row.FinalLen = finalLen
 	if got := am.Len(); got != finalLen {
 		panic(fmt.Sprintf("serve: %s: clean replay left %d records, streams predict %d", name, got, finalLen))
 	}
+	return rum.PointOf(am.Meter().Diff(start), am.Size()), hits
 }
 
 // runServeServing runs the live phase: the method sharded scfg.Shards ways
 // behind serve.Server, scfg.Clients concurrent clients submitting their
-// streams in scfg.Batch-sized Do calls. Outcomes are compared against the
-// pregenerated predictions; timing and latency are recorded per client and
-// merged (obs.Histogram.Merge) for the stderr report.
-func runServeServing(cfg Config, scfg ServeConfig, name string, streams []serveStream, allInit []core.Record, row *ServeRow) {
+// streams in scfg.Batch-sized Do calls through the shared driver, folded
+// into the row's live half.
+func runServeServing(cfg Config, scfg ServeConfig, name string, streams []serveStream, allInit []core.Record) ServeRow {
 	// The serving run is intentionally untraced: its physical traffic is
 	// scheduling-dependent (pool state interleaves across clients), which
 	// must never leak into the deterministic trace/timeseries/metrics
@@ -288,86 +295,130 @@ func runServeServing(cfg Config, scfg ServeConfig, name string, streams []serveS
 		panic(fmt.Sprintf("serve: %s: preload: %v", name, err))
 	}
 
-	type clientTally struct {
-		mismatches int
-		hist       *obs.Histogram
+	clients := make([][]clientBatch, len(streams))
+	wantLen := 0
+	for c, st := range streams {
+		for off := 0; off < len(st.ops); off += scfg.Batch {
+			end := min(off+scfg.Batch, len(st.ops))
+			clients[c] = append(clients[c], clientBatch{reqs: st.ops[off:end], want: st.want[off:end], timed: true})
+		}
+		wantLen += st.finalLen
 	}
-	tallies := make([]clientTally, len(streams))
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			st := &streams[c]
-			tally := &tallies[c]
-			tally.hist = obs.NewLatencyHistogram()
-			res := make([]serve.Result, scfg.Batch)
-			for off := 0; off < len(st.ops); off += scfg.Batch {
-				end := off + scfg.Batch
-				if end > len(st.ops) {
-					end = len(st.ops)
-				}
-				chunk := st.ops[off:end]
-				t0 := time.Now()
-				if err := srv.Do(chunk, res[:len(chunk)]); err != nil {
-					tally.mismatches += len(chunk)
-					continue
-				}
-				tally.hist.RecordDuration(time.Since(t0))
-				for i := range chunk {
-					if res[i] != st.want[off+i] {
-						tally.mismatches++
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
+	run := driveClients(srv, clients)
 	if err := srv.Flush(); err != nil {
 		panic(fmt.Sprintf("serve: %s: flush: %v", name, err))
 	}
-	elapsed := time.Since(begin)
-	reports, err := srv.Stop()
-	if err != nil {
-		row.ServeErr = err.Error()
-	}
-	meter, _, n := serve.Aggregate(reports)
+	run.Reports, run.Err = srv.Stop()
+	run.WantLen = wantLen
+	row := FoldServe(name, run)
+	// The merged per-shard meters must conserve the logical byte count.
+	row.Verified = row.Verified &&
+		row.ServeMeter.LogicalWritten == uint64(len(allInit)+countWrites(streams))*core.RecordSize
+	return row
+}
 
-	latency := obs.NewLatencyHistogram()
-	mismatches := 0
-	for _, t := range tallies {
-		mismatches += t.mismatches
-		latency.Merge(t.hist)
+// clientBatch is one precomputed Do call of a live-run client: the
+// requests, their predicted outcomes, and whether its round trip counts
+// toward the run's latency histogram.
+type clientBatch struct {
+	reqs  []serve.Request
+	want  []serve.Result
+	timed bool
+}
+
+// LiveRun is one finished closed-loop serving run, as FoldServe consumes it.
+type LiveRun struct {
+	Reports    []serve.ShardReport // the stopped server's final shard reports
+	Err        error               // the serving layer's Flush/Stop error
+	Latency    *obs.Histogram      // merged client Do round trips
+	Elapsed    time.Duration
+	Requests   int
+	Mismatches int // outcomes that diverged from their prediction
+	WantLen    int // records the client streams predict live at the end
+}
+
+// driveClients is the closed-loop driver the serve and mvcc experiments
+// share: one goroutine per client submits that client's batches in order
+// through srv.Do and checks every outcome against its prediction. A failed
+// Do counts its whole batch as mismatched. The returned run carries the
+// merged latency of the timed batches, the wall time from first submission
+// to last completion, and the request and mismatch totals.
+func driveClients(srv *serve.Server, clients [][]clientBatch) LiveRun {
+	hists := make([]*obs.Histogram, len(clients))
+	mismatches := make([]int, len(clients))
+	var wg sync.WaitGroup
+	begin := time.Now()
+	for c, batches := range clients {
+		hists[c] = obs.NewLatencyHistogram()
+		wg.Add(1)
+		go func(c int, batches []clientBatch) {
+			defer wg.Done()
+			var res []serve.Result
+			for _, b := range batches {
+				res = slices.Grow(res[:0], len(b.reqs))[:len(b.reqs)]
+				t0 := time.Now()
+				if err := srv.Do(b.reqs, res); err != nil {
+					mismatches[c] += len(b.reqs)
+					continue
+				}
+				if b.timed {
+					hists[c].RecordDuration(time.Since(t0))
+				}
+				for i := range res {
+					if res[i] != b.want[i] {
+						mismatches[c]++
+					}
+				}
+			}
+		}(c, batches)
 	}
-	requests := 0
-	for _, st := range streams {
-		requests += len(st.ops)
+	wg.Wait()
+	run := LiveRun{Elapsed: time.Since(begin), Latency: obs.NewLatencyHistogram()}
+	for c, batches := range clients {
+		run.Latency.Merge(hists[c])
+		run.Mismatches += mismatches[c]
+		for _, b := range batches {
+			run.Requests += len(b.reqs)
+		}
 	}
-	wantLen := 0
-	for _, st := range streams {
-		wantLen += st.finalLen
+	return run
+}
+
+// FoldServe folds a finished live run into a ServeRow. The run is verified
+// when every outcome matched its prediction, the serving layer reported no
+// error, and the shards hold exactly the WantLen records the streams
+// predict. Clean is the live run's own cumulative RUM point (the daemon has
+// no separate replay); RunServe replaces it with its deterministic replay's.
+func FoldServe(method string, run LiveRun) ServeRow {
+	meter, size, n := serve.Aggregate(run.Reports)
+	row := ServeRow{
+		Method:     method,
+		Clean:      rum.PointOf(meter, size),
+		Requests:   run.Requests,
+		FinalLen:   run.WantLen,
+		Mismatches: run.Mismatches,
+		Elapsed:    run.Elapsed,
+		P50:        run.Latency.QuantileDuration(0.50),
+		P99:        run.Latency.QuantileDuration(0.99),
+		ServeMeter: meter,
 	}
-	row.Mismatches = mismatches
-	row.Verified = mismatches == 0 && row.ServeErr == "" && n == wantLen &&
-		meter.LogicalWritten == uint64(len(allInit)+countWrites(streams))*core.RecordSize
-	row.Elapsed = elapsed
-	if s := elapsed.Seconds(); s > 0 {
-		row.Throughput = float64(requests) / s
+	if run.Err != nil {
+		row.ServeErr = run.Err.Error()
 	}
-	row.P50 = latency.QuantileDuration(0.50)
-	row.P99 = latency.QuantileDuration(0.99)
-	if ph := serve.AggregatePhases(reports); ph != nil {
+	row.Verified = row.Mismatches == 0 && row.ServeErr == "" && n == run.WantLen
+	if s := run.Elapsed.Seconds(); s > 0 {
+		row.Throughput = float64(run.Requests) / s
+	}
+	if ph := serve.AggregatePhases(run.Reports); ph != nil {
 		row.QueueP50 = ph.Queue.QuantileDuration(0.50)
 		row.QueueP99 = ph.Queue.QuantileDuration(0.99)
 		row.ServiceP50 = ph.Service.QuantileDuration(0.50)
 		row.ServiceP99 = ph.Service.QuantileDuration(0.99)
 	}
-	row.ShardOps = make([]uint64, len(reports))
-	for i, r := range reports {
-		row.ShardOps[i] = r.Ops
+	for _, r := range run.Reports {
+		row.ShardOps = append(row.ShardOps, r.Ops)
 	}
-	row.ServeMeter = meter
+	return row
 }
 
 // countWrites returns the number of requests that account a logical write
@@ -387,8 +438,8 @@ func countWrites(streams []serveStream) int {
 
 // Render prints the deterministic half of the experiment. Every column is
 // independent of shard count, batch size, and scheduling by construction;
-// the serve-smoke CI gate diffs this output across shard counts and pool
-// widths to hold that contract.
+// TestExperimentDeterminism (cmd/rumbench) diffs this output across shard
+// counts and pool widths to hold that contract.
 func (r ServeResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Serving layer (Section-5 outlook): access methods behind sharded actors\n")

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 func quickServeCfg() Config {
@@ -78,5 +82,29 @@ func TestServeRenderTiming(t *testing.T) {
 	}
 	if strings.Contains(r.Render(), "shards=") {
 		t.Errorf("stdout render leaks shard count:\n%s", r.Render())
+	}
+}
+
+// The shared fold verifies the final record count: a report set whose Len
+// disagrees with the streams' prediction fails verification even with no
+// mismatch and no serving error, and the matching count passes.
+func TestFoldServeVerifiesFinalLen(t *testing.T) {
+	reports := []serve.ShardReport{{Shard: 0, Ops: 30, Len: 5}, {Shard: 1, Ops: 20, Len: 4}}
+	run := LiveRun{Reports: reports, Latency: obs.NewLatencyHistogram(), Elapsed: time.Second, Requests: 50}
+	run.WantLen = 10
+	if row := FoldServe("btree", run); row.Verified {
+		t.Fatalf("Len 9 against predicted 10 verified: %+v", row)
+	}
+	run.WantLen = 9
+	row := FoldServe("btree", run)
+	if !row.Verified {
+		t.Fatalf("matching Len not verified: %+v", row)
+	}
+	if row.Throughput != 50 || len(row.ShardOps) != 2 || row.ShardOps[0] != 30 || row.FinalLen != 9 {
+		t.Errorf("fold lost run facts: %+v", row)
+	}
+	run.Err = errors.New("boom")
+	if row := FoldServe("btree", run); row.Verified || row.ServeErr != "boom" {
+		t.Errorf("serving error not surfaced: %+v", row)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/btree"
@@ -49,36 +48,25 @@ const (
 	walsweepTrials = 6
 )
 
-// walSubject is one loggable structure: how to build and recover it under a
-// given log config.
-type walSubject struct {
-	name   string
-	build  func(pool *storage.BufferPool, wcfg wal.Config) (*wal.Logged, error)
-	reopen func(pool *storage.BufferPool, wcfg wal.Config) (*wal.Logged, error)
-}
+// walsweepMethods are the loggable structures the sweep covers.
+var walsweepMethods = []string{"btree", "lsm"}
 
-func walSubjects() []walSubject {
-	lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10}
-	return []walSubject{
-		{
-			name: "btree",
-			build: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.NewBTree(p, btree.Config{}, w)
-			},
-			reopen: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.RecoverBTree(p, btree.Config{}, w)
-			},
-		},
-		{
-			name: "lsm",
-			build: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.NewLSM(p, lsmCfg, w)
-			},
-			reopen: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.RecoverLSM(p, lsmCfg, w)
-			},
-		},
+// walSubject is one loggable structure under log config w, held to
+// DurableToCommit by the crash trials.
+func walSubject(name string, w wal.Config) subject {
+	sub := subject{name: name, Subject: faults.Subject{Durability: faults.DurableToCommit}}
+	switch name {
+	case "btree":
+		sub.Open = func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.NewBTree(p, btree.Config{}, w) }
+		sub.Reopen = func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.RecoverBTree(p, btree.Config{}, w) }
+	case "lsm":
+		lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10}
+		sub.Open = func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.NewLSM(p, lsmCfg, w) }
+		sub.Reopen = func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.RecoverLSM(p, lsmCfg, w) }
+	default:
+		panic(fmt.Sprintf("walsweep: unknown method %q", name))
 	}
+	return sub
 }
 
 // WALRow is one (structure, commit batch) cell.
@@ -117,14 +105,14 @@ func RunWALSweep(cfg Config) WALSweepResult {
 	// is what makes the sync tax — one page write per commit — visible
 	// against the structure's own traffic. RAM's symmetric costs mute it.
 	cfg.Storage.Medium = storage.SSD
-	subjects := walSubjects()
-	rows := make([]WALRow, len(subjects)*len(walsweepBatches))
+	rows := make([]WALRow, len(walsweepMethods)*len(walsweepBatches))
 	cells := make([]Cell, 0, len(rows))
-	for si, sub := range subjects {
+	for si, name := range walsweepMethods {
 		for bi, batch := range walsweepBatches {
-			idx, sub, batch := si*len(walsweepBatches)+bi, sub, batch
+			idx := si*len(walsweepBatches) + bi
+			sub := walSubject(name, wal.Config{CommitBatch: batch, CheckpointEvery: walsweepCheckpointEvery})
 			cells = append(cells, Cell{
-				Label: fmt.Sprintf("%s/b=%d", sub.name, batch),
+				Label: fmt.Sprintf("%s/b=%d", name, batch),
 				Run:   func(ccfg Config) { rows[idx] = runWALCell(ccfg, sub, batch) },
 			})
 		}
@@ -133,76 +121,35 @@ func RunWALSweep(cfg Config) WALSweepResult {
 	return WALSweepResult{Ops: cfg.Ops, Rows: rows}
 }
 
-func runWALCell(cfg Config, sub walSubject, batch int) WALRow {
-	wcfg := wal.Config{CommitBatch: batch, CheckpointEvery: walsweepCheckpointEvery}
-	row := WALRow{Method: sub.name, Batch: batch}
-
-	dev := storage.NewDevice(pageSize(cfg), cfg.Storage.Medium, nil)
-	pool := storage.NewBufferPool(dev, poolPages(cfg))
-	if cfg.Storage.Hook != nil {
-		dev.SetHook(cfg.Storage.Hook)
-		pool.SetHook(cfg.Storage.Hook)
-	}
-	lg, err := sub.build(pool, wcfg)
-	if err != nil {
-		panic(fmt.Sprintf("walsweep: build %s: %v", sub.name, err))
-	}
-	am := core.Instrument(lg)
-	cfg.observe(am, fmt.Sprintf("wal/%s/b=%d", sub.name, batch))
-
-	gen := workload.New(workload.Config{
-		Seed:       cfg.Seed,
-		Mix:        workload.WriteHeavy, // the log taxes writes; measure where it hurts
-		InitialLen: cfg.N,
-	})
-	if err := core.Preload(am, gen); err != nil {
-		panic(fmt.Sprintf("walsweep: preload %s: %v", sub.name, err))
-	}
-	am.Flush()
-
-	start := am.Meter().Snapshot()
+func runWALCell(cfg Config, sub subject, batch int) WALRow {
+	label := fmt.Sprintf("%s/b=%d", sub.name, batch)
+	// The log taxes writes; measure where it hurts.
+	s := prepare(cfg, sub, workload.WriteHeavy, "wal/"+label)
+	lg := s.am.Unwrap().(*wal.Logged)
+	start := s.am.Meter().Snapshot()
 	before := lg.Stats()
-	costBefore := dev.Stats().CostUnits
-	costs := make([]uint64, cfg.Ops)
-	flushEvery := cfg.Ops / 8
-	prev := costBefore
-	var st core.OpStats
-	for i := 0; i < cfg.Ops; i++ {
-		core.Apply(am, gen.Next(), &st)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			am.Flush() // periodic checkpoint: its burst lands in this op's cost
-		}
-		now := dev.Stats().CostUnits
-		costs[i] = now - prev
-		prev = now
-	}
-	row.Point = rum.PointOf(am.Meter().Diff(start), am.Size())
-	if total := dev.Stats().CostUnits - costBefore; total > 0 {
-		row.OpsPerKCost = float64(cfg.Ops) * 1000 / float64(total)
-	}
-	cfg.Perf.Record("walsweep", fmt.Sprintf("%s/b=%d", sub.name, batch), row.OpsPerKCost)
-	slices.Sort(costs)
-	quantile := func(q float64) uint64 { return costs[int(q*float64(len(costs)-1))] }
-	row.CostP50, row.CostP99, row.CostMax = quantile(0.50), quantile(0.99), costs[len(costs)-1]
+	t := s.replay(cfg.Ops)
 	after := lg.Stats()
-	row.Syncs = after.Syncs - before.Syncs
-	row.Commits = after.Commits - before.Commits
-	row.Checkpoints = after.Checkpoints - before.Checkpoints
-	row.LogPages = after.LogPagesWritten - before.LogPagesWritten
-	row.LogBytes = after.LogBytesWritten - before.LogBytesWritten
+	row := WALRow{
+		Method:      sub.name,
+		Batch:       batch,
+		Point:       rum.PointOf(s.am.Meter().Diff(start), s.am.Size()),
+		OpsPerKCost: t.opsPerKCost(cfg.Ops),
+		CostP50:     t.costP50,
+		CostP99:     t.costP99,
+		CostMax:     t.costMax,
+		Syncs:       after.Syncs - before.Syncs,
+		Commits:     after.Commits - before.Commits,
+		Checkpoints: after.Checkpoints - before.Checkpoints,
+		LogPages:    after.LogPagesWritten - before.LogPagesWritten,
+		LogBytes:    after.LogBytesWritten - before.LogBytesWritten,
+	}
+	cfg.Perf.Record("walsweep", label, row.OpsPerKCost)
 
 	// Faulted phase: seeded crash trials against the DurableToCommit
 	// contract, on the checker's own small substrate.
 	for t := 0; t < walsweepTrials; t++ {
-		res := faults.CheckCrash(faults.CheckConfig{Seed: uint64(cfg.Seed) + uint64(t)}, faults.Subject{
-			Open: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return sub.build(p, wcfg)
-			},
-			Reopen: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return sub.reopen(p, wcfg)
-			},
-			Durability: faults.DurableToCommit,
-		})
+		res := faults.CheckCrash(faults.CheckConfig{Seed: uint64(cfg.Seed) + uint64(t)}, sub.Subject)
 		row.Trials++
 		switch res.Verdict {
 		case faults.Recovered:

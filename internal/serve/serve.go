@@ -409,7 +409,16 @@ func (s *Server) runShard(sh *shard) {
 		// shorter than a window still fingerprints deterministically.
 		sh.wrec.Rotate()
 	}
-	sh.report = ShardReport{
+	sh.report = sh.reportOf(am)
+}
+
+// reportOf assembles the shard's report — the final one at exit and every
+// Snapshot answer alike. It runs on the shard goroutine, like every other
+// access: the meter, size, and record count are touched only by their
+// single owner, so the -tags racecheck assertions hold and no lock shadows
+// the hot path.
+func (sh *shard) reportOf(am *core.Instrumented) ShardReport {
+	rep := ShardReport{
 		Shard:        sh.id,
 		Name:         am.Name(),
 		Ops:          sh.ops + sh.bypassOps.Load(),
@@ -420,11 +429,12 @@ func (s *Server) runShard(sh *shard) {
 		WAL:          walLedger(am),
 	}
 	if sh.rec != nil {
-		sh.report.Phases = sh.rec.Snapshot()
+		rep.Phases = sh.rec.Snapshot()
 	}
 	if sh.wrec != nil {
-		sh.report.Workload = sh.wrec.Snapshot()
+		rep.Workload = sh.wrec.Snapshot()
 	}
+	return rep
 }
 
 // apply executes one message. The completion fires even if an operation
@@ -507,28 +517,9 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 			sh.wrec.RecordScan(len(p.out))
 		}
 	case kindSnap:
-		// Read on the shard goroutine, like every other access: the meter,
-		// size, and record count are touched only by their single owner, so
-		// the -tags racecheck assertions hold and no lock shadows the hot
-		// path. The write is published to the requester through the
-		// completion's channel-close edge.
-		rep := ShardReport{
-			Shard:        sh.id,
-			Name:         am.Name(),
-			Ops:          sh.ops + sh.bypassOps.Load(),
-			Meter:        sh.ledgerMeter(am),
-			Size:         am.Size(),
-			Len:          am.Len(),
-			SnapVersions: sh.snapVersions,
-			WAL:          walLedger(am),
-		}
-		if sh.rec != nil {
-			rep.Phases = sh.rec.Snapshot()
-		}
-		if sh.wrec != nil {
-			rep.Workload = sh.wrec.Snapshot()
-		}
-		*msg.snap = rep
+		// Published to the requester through the completion's channel-close
+		// edge.
+		*msg.snap = sh.reportOf(am)
 	}
 }
 
